@@ -385,7 +385,7 @@ impl NodeCore {
             hlc: self.clock.tick(now),
             body,
         };
-        out.datagrams.push((to, frame_node(&msg).to_vec()));
+        out.datagrams.push((to, frame_node(&msg).into()));
     }
 
     fn apply_event(&mut self, idx: usize, ev: ChannelEvent, now: f64, out: &mut NodeOutput) {
@@ -634,12 +634,12 @@ impl NodeCore {
             let snap = self.driver.snapshot(self.cfg.n);
             let dests = snap
                 .dests
-                .iter()
+                .into_iter()
                 .map(|d| SnapDest {
                     dest: d.dest,
                     fd: d.fd,
                     dist: d.dist,
-                    successors: d.successors.clone(),
+                    successors: d.successors,
                 })
                 .collect();
             // Which incarnation of each neighbor this routing state was

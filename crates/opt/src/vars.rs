@@ -1,6 +1,6 @@
 //! Routing variables `φ = {φ_ijk}` for the analytic model.
 
-use mdr_net::{LinkCost, LinkDelayModel, Mm1, NodeId, Topology};
+use mdr_net::{LinkDelayModel, Mm1, NodeId, Topology};
 use mdr_routing::{dijkstra, TopoTable};
 
 /// The complete routing-parameter set: for each router `i` and
@@ -64,11 +64,12 @@ impl RoutingVars {
 /// form of the SP baseline.
 pub fn shortest_path_vars(topo: &Topology, models: &[Mm1]) -> RoutingVars {
     let n = topo.node_count();
-    let mut table = TopoTable::new();
-    for (id, l) in topo.links().iter().enumerate() {
-        let cost: LinkCost = models[id].marginal_delay(0.0);
-        table.insert(l.from, l.to, cost);
-    }
+    let table: TopoTable = topo
+        .links()
+        .iter()
+        .enumerate()
+        .map(|(id, l)| (l.from, l.to, models[id].marginal_delay(0.0)))
+        .collect();
     let mut vars = RoutingVars::new(n);
     for root in topo.nodes() {
         let spf = dijkstra(n, &table, root);

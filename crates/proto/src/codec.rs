@@ -196,17 +196,34 @@ pub fn decode(mut buf: &[u8]) -> Result<LsuMessage, DecodeError> {
     Ok(LsuMessage { from, ack: flags & 1 != 0, entries })
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
-/// this runs only on the chaos corruption path, so table-free clarity
-/// beats speed.
+/// CRC-32 lookup table: entry `b` is the remainder of byte `b` shifted
+/// through eight rounds of the reflected polynomial.
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table
+/// lookup per byte. Every framed datagram is checksummed on send and
+/// verified on receive.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -354,6 +371,28 @@ mod tests {
             vec![LsuEntry { op: LsuOp::Delete, head: NodeId(1), tail: NodeId(2), cost: 3.0 }],
         );
         let _ = encode(&m);
+    }
+
+    /// The bitwise definition the table is built from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_matches_bitwise(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..512),
+        ) {
+            proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
     }
 
     #[test]

@@ -188,9 +188,16 @@ fn type_code(body: &NodeBody) -> u8 {
 /// `Data` payload exceeds the `u16` length field — all are caller
 /// bugs, not wire conditions.
 pub fn encode_node(msg: &NodeMsg) -> Bytes {
+    let mut buf = BytesMut::with_capacity(node_encoded_len(msg));
+    put_node(&mut buf, msg);
+    buf.freeze()
+}
+
+/// Append the encoding of `msg` to `buf` (the body of [`encode_node`],
+/// shared with [`frame_node`] so a frame is written in one buffer).
+fn put_node(buf: &mut BytesMut, msg: &NodeMsg) {
     assert!(msg.incarnation >= 1, "incarnation 0 is reserved for \"never seen\"");
     assert!(msg.session >= 1, "session 0 is reserved");
-    let mut buf = BytesMut::with_capacity(node_encoded_len(msg));
     buf.put_u8(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(type_code(&msg.body));
@@ -216,7 +223,6 @@ pub fn encode_node(msg: &NodeMsg) -> Bytes {
         }
         NodeBody::Ack { cum_seq } => buf.put_u64(*cum_seq),
     }
-    buf.freeze()
 }
 
 /// Decode a node-control message, consuming the whole buffer.
@@ -287,7 +293,7 @@ pub fn decode_node(mut buf: &[u8]) -> Result<NodeMsg, DecodeError> {
 /// of the node control plane.
 pub fn frame_node(msg: &NodeMsg) -> Bytes {
     let mut buf = BytesMut::with_capacity(node_framed_len(msg));
-    buf.put_slice(&encode_node(msg));
+    put_node(&mut buf, msg);
     let crc = codec::crc32(&buf);
     buf.put_u32(crc);
     buf.freeze()

@@ -131,6 +131,9 @@ pub struct RouterStats {
     pub dropped: u64,
     /// MTU executions.
     pub mtu_runs: u64,
+    /// Dijkstra runs: one per MTU, plus one per LSU that changed the
+    /// sender's neighbor table (or is the first since its link came up).
+    pub spf_runs: u64,
 }
 
 /// The MPDA router.
@@ -202,14 +205,20 @@ impl MpdaRouter {
         self.core.neighbor_distance(k, j)
     }
 
+    /// The neighbor topology table `T^i_k` (None if the link to `k` is
+    /// down).
+    pub fn neighbor_topology(&self, k: NodeId) -> Option<&TopoTable> {
+        self.core.neighbor(k).map(|nb| nb.topo())
+    }
+
     /// Cost `l^i_k` of the adjacent link to `k` (None if down).
     pub fn link_cost(&self, k: NodeId) -> Option<LinkCost> {
-        self.core.link_costs.get(&k).copied()
+        self.core.link_cost(k)
     }
 
     /// Operational neighbors, ascending.
     pub fn neighbors(&self) -> Vec<NodeId> {
-        self.core.link_costs.keys().copied().collect()
+        self.core.neighbor_ids().collect()
     }
 
     /// The best successor for `j`: the `k ∈ S^i_j` minimizing
@@ -218,11 +227,8 @@ impl MpdaRouter {
     pub fn best_successor(&self, j: NodeId) -> Option<NodeId> {
         let mut best: Option<(LinkCost, NodeId)> = None;
         for &k in &self.successors[j.index()] {
-            let lk = match self.core.link_costs.get(&k) {
-                Some(&c) => c,
-                None => continue,
-            };
-            let total = self.core.neighbor_distance(k, j) + lk;
+            let Some(nb) = self.core.neighbor(k) else { continue };
+            let total = nb.dist()[j.index()] + nb.cost;
             match best {
                 Some((b, _)) if total >= b => {}
                 _ => best = Some((total, k)),
@@ -235,6 +241,7 @@ impl MpdaRouter {
     pub fn stats(&self) -> RouterStats {
         let mut s = self.stats;
         s.mtu_runs = self.core.mtu_runs;
+        s.spf_runs = self.core.spf_runs;
         s
     }
 
@@ -264,32 +271,17 @@ impl MpdaRouter {
         };
 
         let last_ack = was_active && self.pending_acks.is_empty();
-        let old_dist = self.core.dist.clone();
-        let old_succ = self.successors.clone();
 
         // ---- Steps 2-3: MTU and feasible-distance update ----
-        let diff = self.step_mtu_and_fd(was_active, last_ack);
+        let (diff, dist_changed) = self.step_mtu_and_fd(was_active, last_ack);
 
         // ---- Step 4: successor sets via the LFI condition (Eq. 17) ----
-        self.recompute_successors();
+        let changed = self.recompute_successors();
 
         // ---- Steps 5-8: state transition and message generation ----
         let sends = self.step_emit(was_active, last_ack, ack_to, &diff);
 
-        let routes_changed = old_dist != self.core.dist || old_succ != self.successors;
-        let mut changed = Vec::new();
-        if routes_changed {
-            for (j, old) in old_succ.into_iter().enumerate() {
-                if old != self.successors[j] {
-                    changed.push(RouteChange {
-                        dest: NodeId(j as u32),
-                        old,
-                        new: self.successors[j].clone(),
-                    });
-                }
-            }
-        }
-        RouterOutput { sends, routes_changed, changed }
+        RouterOutput { sends, routes_changed: dist_changed || !changed.is_empty(), changed }
     }
 
     /// Step 1 — the neighbor-table update: apply the event to the link
@@ -336,28 +328,30 @@ impl MpdaRouter {
 
     /// Steps 2–3 — the main-table update and the feasible-distance rule,
     /// the heart of the safety argument. Returns the LSU entries that
-    /// describe how `T^i` changed (empty while MTU is deferred).
-    fn step_mtu_and_fd(&mut self, was_active: bool, last_ack: bool) -> Vec<LsuEntry> {
-        let mut diff = Vec::new();
+    /// describe how `T^i` changed (empty while MTU is deferred), and
+    /// whether `D^i` changed.
+    fn step_mtu_and_fd(&mut self, was_active: bool, last_ack: bool) -> (Vec<LsuEntry>, bool) {
         if !was_active {
             // Step 2: PASSIVE — update T^i immediately; FD can only drop.
-            diff = self.core.mtu();
+            let (diff, old_dist) = self.core.mtu();
             for j in 0..self.core.n {
                 self.fd[j] = self.fd[j].min(self.core.dist[j]);
             }
+            (diff, old_dist != self.core.dist)
         } else if last_ack {
             // Step 3: ACTIVE phase ends — temp holds the distances as
             // last *reported* to neighbors; FD may rise to
             // min(reported, new), which is safe because every neighbor
             // has acknowledged the reported values.
-            let temp = self.core.dist.clone();
-            diff = self.core.mtu();
+            let (diff, temp) = self.core.mtu();
             for (j, fd) in self.fd.iter_mut().enumerate().take(self.core.n) {
                 *fd = temp[j].min(self.core.dist[j]);
             }
+            (diff, temp != self.core.dist)
+        } else {
+            // While ACTIVE mid-phase: NTU only; MTU deferred.
+            (Vec::new(), false)
         }
-        // (While ACTIVE mid-phase: NTU only; MTU deferred.)
-        diff
     }
 
     /// Steps 5–8 — ACTIVE/PASSIVE transition and message generation:
@@ -373,8 +367,7 @@ impl MpdaRouter {
         let mut sends = Vec::new();
         let can_initiate = !was_active || last_ack;
         if can_initiate {
-            let neighbors: Vec<NodeId> = self.core.link_costs.keys().copied().collect();
-            for k in neighbors {
+            for k in self.core.neighbor_ids() {
                 let entries = if self.needs_full.contains(&k) {
                     // Full-table sync to a freshly-up neighbor (NTU
                     // step 2 of Fig. 2).
@@ -412,30 +405,35 @@ impl MpdaRouter {
         sends
     }
 
-    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`.
-    fn recompute_successors(&mut self) {
+    /// Eq. 17: `S^i_j = { k | D^i_jk < FD^i_j ∧ k ∈ N^i }`. Returns the
+    /// sets that changed, ascending by destination.
+    fn recompute_successors(&mut self) -> Vec<RouteChange> {
+        let mut changed = Vec::new();
+        let mut set = Vec::new();
         for j in 0..self.core.n {
-            let jd = NodeId(j as u32);
             let fdj = self.fd[j];
-            let set = &mut self.successors[j];
             set.clear();
-            if jd == self.core.id {
-                continue;
-            }
-            for &k in self.core.link_costs.keys() {
-                let djk = self.core.neighbor_distance(k, jd);
-                let admit = match self.rule {
-                    UpdateRule::Lfi => djk < fdj,
-                    // The deliberately unsound variant: `≤` admits
-                    // neighbors at *equal* feasible distance, breaking
-                    // the strict potential of Theorem 1.
-                    UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
-                };
-                if admit {
-                    set.push(k);
+            if j != self.core.id.index() {
+                for nb in &self.core.neighbors {
+                    let djk = nb.dist()[j];
+                    let admit = match self.rule {
+                        UpdateRule::Lfi => djk < fdj,
+                        // The deliberately unsound variant: `≤` admits
+                        // neighbors at *equal* feasible distance,
+                        // breaking the strict potential of Theorem 1.
+                        UpdateRule::NonStrictSuccessors => djk <= fdj && fdj < INFINITE_COST,
+                    };
+                    if admit {
+                        set.push(nb.k);
+                    }
                 }
             }
+            if set != self.successors[j] {
+                let old = std::mem::replace(&mut self.successors[j], set.clone());
+                changed.push(RouteChange { dest: NodeId(j as u32), old, new: set.clone() });
+            }
         }
+        changed
     }
 
     /// Append a canonical byte encoding of the router's complete
@@ -462,20 +460,23 @@ impl MpdaRouter {
         }
         push_u32(out, self.core.id.0);
         push_u32(out, self.core.n as u32);
-        push_u32(out, self.core.link_costs.len() as u32);
-        for (&k, &c) in &self.core.link_costs {
-            push_u32(out, k.0);
-            push_cost(out, c);
+        // Link table, then neighbor topologies, then neighbor distances:
+        // three sections over the same neighbor set.
+        let nbs = &self.core.neighbors;
+        push_u32(out, nbs.len() as u32);
+        for nb in nbs {
+            push_u32(out, nb.k.0);
+            push_cost(out, nb.cost);
         }
-        push_u32(out, self.core.neighbor_topo.len() as u32);
-        for (&k, topo) in &self.core.neighbor_topo {
-            push_u32(out, k.0);
-            push_topo(out, topo);
+        push_u32(out, nbs.len() as u32);
+        for nb in nbs {
+            push_u32(out, nb.k.0);
+            push_topo(out, nb.topo());
         }
-        push_u32(out, self.core.neighbor_dist.len() as u32);
-        for (&k, dists) in &self.core.neighbor_dist {
-            push_u32(out, k.0);
-            for &d in dists {
+        push_u32(out, nbs.len() as u32);
+        for nb in nbs {
+            push_u32(out, nb.k.0);
+            for &d in nb.dist() {
                 push_cost(out, d);
             }
         }
@@ -690,6 +691,22 @@ mod tests {
         let mut r = converge(2, &[(0, 1, 1.0)]);
         let out = r[0].handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::ack_only(n(1)) });
         assert!(out.sends.is_empty(), "pure ACK must not trigger a reply: {out:?}");
+    }
+
+    #[test]
+    fn ack_only_lsu_after_link_up_runs_the_first_spf() {
+        // LinkUp leaves D^i_kk = ∞ (T^i_k is empty and no SPF has run),
+        // so k is not yet a successor toward itself. The neighbor's
+        // ACK-only reply changes nothing in T^i_k, but it is the first
+        // LSU from k: its SPF must still run and bring D^i_kk to 0.
+        let mut r = MpdaRouter::new(n(0), 2);
+        r.handle(RouterEvent::LinkUp { to: n(1), cost: 1.0 });
+        assert_eq!(r.neighbor_distance(n(1), n(1)), INFINITE_COST);
+        assert!(r.successors(n(1)).is_empty());
+        r.handle(RouterEvent::Lsu { from: n(1), msg: LsuMessage::ack_only(n(1)) });
+        assert_eq!(r.neighbor_distance(n(1), n(1)), 0.0);
+        assert_eq!(r.successors(n(1)), &[n(1)]);
+        assert_eq!(r.stats().spf_runs, 3, "MTU, the first NTU SPF, MTU");
     }
 
     #[test]

@@ -53,12 +53,12 @@ impl PdaRouter {
 
     /// Cost of the adjacent link to `k` (None if down).
     pub fn link_cost(&self, k: NodeId) -> Option<LinkCost> {
-        self.core.link_costs.get(&k).copied()
+        self.core.link_cost(k)
     }
 
     /// Operational neighbors, ascending.
     pub fn neighbors(&self) -> Vec<NodeId> {
-        self.core.link_costs.keys().copied().collect()
+        self.core.neighbor_ids().collect()
     }
 
     /// Successor set by the *unsynchronized* rule of Eq. 14:
@@ -66,18 +66,14 @@ impl PdaRouter {
     /// the point of the ablation.
     pub fn successors(&self, j: NodeId) -> Vec<NodeId> {
         let dj = self.core.dist[j.index()];
-        self.core
-            .link_costs
-            .keys()
-            .copied()
-            .filter(|&k| self.core.neighbor_distance(k, j) < dj)
-            .collect()
+        self.core.neighbors.iter().filter(|nb| nb.dist()[j.index()] < dj).map(|nb| nb.k).collect()
     }
 
     /// Protocol counters.
     pub fn stats(&self) -> RouterStats {
         let mut s = self.stats;
         s.mtu_runs = self.core.mtu_runs;
+        s.spf_runs = self.core.spf_runs;
         s
     }
 
@@ -111,11 +107,9 @@ impl PdaRouter {
                 self.core.link_cost_change(*to, *cost);
             }
         }
-        let old_dist = self.core.dist.clone();
-        let diff = self.core.mtu();
+        let (diff, old_dist) = self.core.mtu();
         let mut sends = Vec::new();
-        let neighbors: Vec<NodeId> = self.core.link_costs.keys().copied().collect();
-        for k in neighbors {
+        for k in self.core.neighbor_ids() {
             let entries = if self.needs_full.contains(&k) {
                 self.core.main_topo.full_entries()
             } else if !diff.is_empty() {

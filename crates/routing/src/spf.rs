@@ -35,17 +35,14 @@ impl SpfResult {
     /// `links` (MTU step 6: "remove those links in `T^i` that are not
     /// part of the shortest path tree").
     pub fn tree_links(&self, links: &TopoTable) -> TopoTable {
-        let mut out = TopoTable::new();
-        for (j, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                let head = *p;
-                let tail = NodeId(j as u32);
-                if let Some(c) = links.cost(head, tail) {
-                    out.insert(head, tail, c);
-                }
-            }
-        }
-        out
+        self.parent
+            .iter()
+            .enumerate()
+            .filter_map(|(j, p)| {
+                let (head, tail) = ((*p)?, NodeId(j as u32));
+                links.cost(head, tail).map(|c| (head, tail, c))
+            })
+            .collect()
     }
 
     /// The path root → `j` as a node list, if reachable.
@@ -107,14 +104,6 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
     if root.index() >= n {
         return SpfResult { dist, parent };
     }
-    // Adjacency snapshot, sorted by (head, tail) — TopoTable iterates in
-    // that order already.
-    let mut adj: Vec<Vec<(NodeId, LinkCost)>> = vec![Vec::new(); n];
-    for (h, t, c) in links.iter() {
-        if h.index() < n && t.index() < n {
-            adj[h.index()].push((t, c));
-        }
-    }
     dist[root.index()] = 0.0;
     let mut heap = BinaryHeap::new();
     heap.push(HeapEntry { dist: 0.0, parent: u32::MAX, node: root });
@@ -126,8 +115,10 @@ pub fn dijkstra(n: usize, links: &TopoTable, root: NodeId) -> SpfResult {
         if via != u32::MAX {
             parent[u.index()] = Some(NodeId(via));
         }
-        for &(v, c) in &adj[u.index()] {
-            if done[v.index()] {
+        // The table keeps each head's links contiguous and in tail
+        // order, so this walks them in place.
+        for (v, c) in links.links_from(u) {
+            if v.index() >= n || done[v.index()] {
                 continue;
             }
             let nd = d + c;

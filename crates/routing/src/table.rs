@@ -5,17 +5,23 @@
 //! where `h` is the head, `t` is the tail and `d` is the cost of the link
 //! `h → t`." (§4.1.1). Neighbor tables `T^i_k` have the same shape.
 //!
-//! Backed by a `BTreeMap` keyed on `(head, tail)` so iteration order —
-//! and therefore every diff, merge, and Dijkstra run — is deterministic.
+//! Stored as one vector of triplets kept sorted by `(head, tail)`, with
+//! no duplicate keys. Iteration order — and therefore every diff, merge,
+//! and Dijkstra run — is deterministic, the links of one head are a
+//! contiguous slice found by binary search, and a table of `m` links is
+//! one allocation. Tables here hold a shortest-path tree or a merge of
+//! a few of them (about `n` links), so the `O(m)` shift of an insert
+//! into the middle costs less than a tree node would.
 
 use mdr_net::{LinkCost, NodeId};
 use mdr_proto::{LsuEntry, LsuMessage, LsuOp};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// A set of directed links with costs: the `[h, t, d]` triplet store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopoTable {
-    links: BTreeMap<(NodeId, NodeId), LinkCost>,
+    /// `(head, tail, cost)`, strictly ascending by `(head, tail)`.
+    links: Vec<(NodeId, NodeId, LinkCost)>,
 }
 
 impl TopoTable {
@@ -24,19 +30,47 @@ impl TopoTable {
         Self::default()
     }
 
+    /// Position of `(head, tail)`: `Ok` if present, `Err` where it
+    /// would be inserted.
+    fn search(&self, head: NodeId, tail: NodeId) -> Result<usize, usize> {
+        self.links.binary_search_by(|&(h, t, _)| (h, t).cmp(&(head, tail)))
+    }
+
+    /// The contiguous range of links whose head is `h`.
+    fn head_range(&self, h: NodeId) -> std::ops::Range<usize> {
+        let lo = self.links.partition_point(|l| l.0 < h);
+        let hi = lo + self.links[lo..].partition_point(|l| l.0 == h);
+        lo..hi
+    }
+
     /// Insert or replace a link.
     pub fn insert(&mut self, head: NodeId, tail: NodeId, cost: LinkCost) {
-        self.links.insert((head, tail), cost);
+        self.upsert(head, tail, cost);
+    }
+
+    /// Insert or replace a link; true if the table changed (a new link,
+    /// or a cost with different bits).
+    fn upsert(&mut self, head: NodeId, tail: NodeId, cost: LinkCost) -> bool {
+        match self.search(head, tail) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.links[i].2, cost);
+                old.to_bits() != cost.to_bits()
+            }
+            Err(i) => {
+                self.links.insert(i, (head, tail, cost));
+                true
+            }
+        }
     }
 
     /// Remove a link; returns its old cost if present.
     pub fn remove(&mut self, head: NodeId, tail: NodeId) -> Option<LinkCost> {
-        self.links.remove(&(head, tail))
+        self.search(head, tail).ok().map(|i| self.links.remove(i).2)
     }
 
     /// Cost of link `head → tail`, if known.
     pub fn cost(&self, head: NodeId, tail: NodeId) -> Option<LinkCost> {
-        self.links.get(&(head, tail)).copied()
+        self.search(head, tail).ok().map(|i| self.links[i].2)
     }
 
     /// Number of links.
@@ -56,63 +90,82 @@ impl TopoTable {
 
     /// Iterate `(head, tail, cost)` in `(head, tail)` order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkCost)> + '_ {
-        self.links.iter().map(|(&(h, t), &c)| (h, t, c))
+        self.links.iter().copied()
     }
 
     /// Links whose head is `h`, in tail order.
     pub fn links_from(&self, h: NodeId) -> impl Iterator<Item = (NodeId, LinkCost)> + '_ {
-        self.links.range((h, NodeId(0))..=(h, NodeId(u32::MAX))).map(|(&(_, t), &c)| (t, c))
+        self.links[self.head_range(h)].iter().map(|&(_, t, c)| (t, c))
     }
 
-    /// Drop every link whose head is `h` (used when re-copying a head's
-    /// links from its preferred neighbor in MTU).
+    /// Drop every link whose head is `h`.
     pub fn remove_links_from(&mut self, h: NodeId) {
-        let keys: Vec<(NodeId, NodeId)> =
-            self.links.range((h, NodeId(0))..=(h, NodeId(u32::MAX))).map(|(&k, _)| k).collect();
-        for k in keys {
-            self.links.remove(&k);
-        }
+        let r = self.head_range(h);
+        self.links.drain(r);
+    }
+
+    /// Append a link that sorts after every stored one — how MTU builds
+    /// its merged table head by head without a search per link.
+    pub(crate) fn push_sorted(&mut self, head: NodeId, tail: NodeId, cost: LinkCost) {
+        debug_assert!(self.links.last().is_none_or(|&(h, t, _)| (h, t) < (head, tail)));
+        self.links.push((head, tail, cost));
     }
 
     /// Apply one LSU entry (NTU step 1a: "add links, delete links or
     /// change links according to the specification of each entry").
     /// `Add` and `Change` are deliberately interchangeable on receive —
-    /// robustness against reordered joins.
-    pub fn apply_entry(&mut self, e: &LsuEntry) {
+    /// robustness against reordered joins. Returns true if the table
+    /// changed.
+    pub fn apply_entry(&mut self, e: &LsuEntry) -> bool {
         match e.op {
-            LsuOp::Add | LsuOp::Change => self.insert(e.head, e.tail, e.cost),
-            LsuOp::Delete => {
-                self.remove(e.head, e.tail);
-            }
+            LsuOp::Add | LsuOp::Change => self.upsert(e.head, e.tail, e.cost),
+            LsuOp::Delete => self.remove(e.head, e.tail).is_some(),
         }
     }
 
-    /// Apply a whole LSU message.
-    pub fn apply_message(&mut self, msg: &LsuMessage) {
-        for e in &msg.entries {
-            self.apply_entry(e);
-        }
+    /// Apply a whole LSU message. Returns true if the table changed —
+    /// NTU skips the neighbor's Dijkstra when it did not.
+    pub fn apply_message(&mut self, msg: &LsuMessage) -> bool {
+        msg.entries.iter().fold(false, |changed, e| self.apply_entry(e) | changed)
     }
 
     /// Compute the LSU entries that transform `self` into `new` (MTU
     /// step 8 / PDA step 3: "Compose an LSU message consisting of
     /// topology differences using add, delete and change link entries").
+    /// Adds and changes come first in `(head, tail)` order, then deletes
+    /// in `(head, tail)` order.
     pub fn diff(&self, new: &TopoTable) -> Vec<LsuEntry> {
         let mut out = Vec::new();
-        // Adds and changes, in deterministic (head, tail) order.
-        for (h, t, c) in new.iter() {
-            match self.cost(h, t) {
-                None => out.push(LsuEntry::add(h, t, c)),
-                Some(old) if old != c => out.push(LsuEntry::change(h, t, c)),
-                Some(_) => {}
+        let mut deletes = Vec::new();
+        let (mut a, mut b) = (self.links.iter().peekable(), new.links.iter().peekable());
+        loop {
+            let ord = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(&&(oh, ot, _)), Some(&&(nh, nt, _))) => (oh, ot).cmp(&(nh, nt)),
+            };
+            match ord {
+                Ordering::Less => {
+                    if let Some(&(h, t, _)) = a.next() {
+                        deletes.push(LsuEntry::delete(h, t));
+                    }
+                }
+                Ordering::Greater => {
+                    if let Some(&(h, t, c)) = b.next() {
+                        out.push(LsuEntry::add(h, t, c));
+                    }
+                }
+                Ordering::Equal => {
+                    if let (Some(&(_, _, old)), Some(&(h, t, c))) = (a.next(), b.next()) {
+                        if old != c {
+                            out.push(LsuEntry::change(h, t, c));
+                        }
+                    }
+                }
             }
         }
-        // Deletes.
-        for (h, t, _) in self.iter() {
-            if new.cost(h, t).is_none() {
-                out.push(LsuEntry::delete(h, t));
-            }
-        }
+        out.append(&mut deletes);
         out
     }
 
@@ -135,13 +188,22 @@ impl TopoTable {
     }
 }
 
+/// Sorts once; a repeated `(head, tail)` keeps its last cost, as
+/// repeated [`TopoTable::insert`]s would.
 impl FromIterator<(NodeId, NodeId, LinkCost)> for TopoTable {
     fn from_iter<I: IntoIterator<Item = (NodeId, NodeId, LinkCost)>>(iter: I) -> Self {
-        let mut t = TopoTable::new();
-        for (h, tl, c) in iter {
-            t.insert(h, tl, c);
-        }
-        t
+        let mut links: Vec<_> = iter.into_iter().collect();
+        // Stable: equal keys stay in arrival order, so the merge below
+        // sees the last one last.
+        links.sort_by_key(|&(h, t, _)| (h, t));
+        links.dedup_by(|later, kept| {
+            let dup = (later.0, later.1) == (kept.0, kept.1);
+            if dup {
+                kept.2 = later.2;
+            }
+            dup
+        });
+        TopoTable { links }
     }
 }
 

@@ -865,12 +865,14 @@ impl FluidSimulator {
         let n = self.topo.node_count();
         // Reverse topology at current marginal costs: dist from `j` in
         // the reversed graph is the cost of `i → j` in the real one.
-        let mut rev = TopoTable::new();
-        for (lid, l) in self.topo.links().iter().enumerate() {
-            if self.link_up[lid] {
-                rev.insert(l.to, l.from, self.models[lid].marginal_delay(self.ftot[lid]));
-            }
-        }
+        let rev: TopoTable = self
+            .topo
+            .links()
+            .iter()
+            .enumerate()
+            .filter(|&(lid, _)| self.link_up[lid])
+            .map(|(lid, l)| (l.to, l.from, self.models[lid].marginal_delay(self.ftot[lid])))
+            .collect();
         let mut sc: Vec<SuccessorCost> = Vec::new();
         for js in 0..self.active_dests.len() {
             let j = self.active_dests[js];
