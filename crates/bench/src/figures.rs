@@ -324,7 +324,7 @@ worst-flow p99 {:.1} ms)",
             label,
             mean(&burst),
             seeds.len(),
-            burst.iter().map(|b| format!("{b:.0}")).collect::<Vec<_>>().join("/"),
+            burst.iter().map(|b| format!("{b:.2}")).collect::<Vec<_>>().join("/"),
             overall,
             worst_p99
         ));
@@ -333,9 +333,9 @@ worst-flow p99 {:.1} ms)",
     }
     fig.note(format!(
         "paper claim: MP significantly better than SP in dynamic environments — here the \
-seed-averaged during-burst mean is {:.0} ms (MP) vs {:.0} ms (SP), a {:.0}% reduction; the \
+seed-averaged during-burst mean is {:.2} ms (MP) vs {:.2} ms (SP), a {:.0}% reduction; the \
 margin is smaller than the paper's because both schemes share MPDA's instantaneous loop-free \
-reroute, and it varies strongly with seed (the burst drives CAIRN near saturation)",
+reroute, and the doubled flow leaves CAIRN short of saturation",
         burst_means[0],
         burst_means[1],
         (1.0 - burst_means[0] / burst_means[1]) * 100.0
